@@ -84,6 +84,9 @@ pub struct Simulation<S = NodeWorkload> {
     txn_source: Option<Arc<SharedOltpState>>,
     txn_baseline: u64,
     injector: Option<FaultInjector>,
+    /// Read-only hooks see the run through two fan-out points: every
+    /// stall passes [`Simulation::stall`] and every traced event
+    /// [`Simulation::event`].
     observer: Observer,
     /// Cycle attribution (`--prof`), off by default. Like the observer
     /// it is strictly read-only with respect to the simulation: every
@@ -98,12 +101,13 @@ pub struct Simulation<S = NodeWorkload> {
     /// "dirty in the L2" and a store that hits an already-dirty L1 line
     /// skips the ownership walk — see [`Simulation::access`].
     uni: bool,
-    /// Batched reference dispatch (the default): streams are drained in
+    /// Batched reference dispatch (the default): one loop,
+    /// [`Simulation::advance_batched`], drains every stream count in
     /// [`BURST_COLS`]-deep packed columns instead of one `MemRef` at a
     /// time. Bit-identical to single-step dispatch by the
     /// [`ReferenceStream::next_burst`] contract;
-    /// `tests/batch_identity.rs` proves it differentially. The
-    /// single-step path is retained as the oracle.
+    /// `tests/batch_identity.rs` proves it differentially against the
+    /// retained oracle, [`Simulation::advance_single_step`].
     batched: bool,
     /// Per-stream gathered columns (`streams.len() * BURST_COLS` packed
     /// words), preallocated so the hot dispatch loop never touches the
@@ -393,78 +397,70 @@ impl<S: ReferenceStream> Simulation<S> {
         // Publish the host profiler's region once per advance call (one
         // relaxed store, amortized over `refs_per_node` references).
         hostprof::set_region(Region::Advance);
-        if !self.batched {
-            self.advance_single_step(refs_per_node);
-        } else if self.streams.len() == 1 {
-            self.advance_batched_single(refs_per_node);
+        if self.batched {
+            self.advance_batched(refs_per_node);
         } else {
-            self.advance_batched_multi(refs_per_node);
+            self.advance_single_step(refs_per_node);
         }
         hostprof::set_region(Region::Idle);
     }
 
     /// Single-step dispatch: one `next_ref` virtual call per reference.
-    /// Retained as the oracle the batched paths are differentially
-    /// tested against ([`Simulation::set_batched_dispatch`]).
+    /// Retained as the oracle the batched loop is differentially tested
+    /// against ([`Simulation::set_batched_dispatch`]).
     // analyze: hot
     // analyze: total — placement and streams have one entry per core: try_new checks streams.len() against the config's core total and placement is built from the same enumeration
     fn advance_single_step(&mut self, refs_per_node: u64) {
-        // The epoch check is hoisted into two loop bodies so the common
-        // no-epochs configuration never tests it per round.
-        match self.observer.epoch_len() {
-            None => {
-                for _ in 0..refs_per_node {
-                    for s in 0..self.streams.len() {
-                        let r = self.streams[s].next_ref();
-                        let (n, c) = self.placement[s];
-                        self.access(n as usize, c as usize, r);
-                    }
-                    // `refs_run` doubles as the fault model's logical
-                    // clock, so it advances per round, not per batch.
-                    self.refs_run += 1;
-                }
+        let epoch = self.observer.epoch_len();
+        for _ in 0..refs_per_node {
+            for s in 0..self.streams.len() {
+                let r = self.streams[s].next_ref();
+                let (n, c) = self.placement[s];
+                self.access(n as usize, c as usize, r);
             }
-            Some(e) => {
-                for _ in 0..refs_per_node {
-                    for s in 0..self.streams.len() {
-                        let r = self.streams[s].next_ref();
-                        let (n, c) = self.placement[s];
-                        self.access(n as usize, c as usize, r);
-                    }
-                    self.refs_run += 1;
-                    if self.refs_run.is_multiple_of(e) {
-                        self.close_epoch();
-                    }
+            // `refs_run` doubles as the fault model's logical clock, so
+            // it advances per round, not per batch.
+            self.refs_run += 1;
+            if let Some(e) = epoch {
+                if self.refs_run.is_multiple_of(e) {
+                    self.close_epoch();
                 }
             }
         }
     }
 
-    /// Batched dispatch for the one-stream machine: drains the stream in
-    /// [`BURST_COLS`]-deep packed columns on a stack buffer, so the
-    /// per-reference cost is one slice copy and one [`dispatch_word`]
-    /// call instead of a virtual `next_ref` plus struct moves.
-    ///
-    /// [`dispatch_word`]: Simulation::dispatch_word
+    /// Batched dispatch for every stream count: references are gathered
+    /// a [`BURST_COLS`]-deep column per stream into `batch_cols`, so the
+    /// virtual-call cost amortizes over the column. One iteration is one
+    /// round (stream 0, 1, ... one word each, in single-step order, then
+    /// the logical clock and epoch check advance) or, on the whole-column
+    /// lane, one entire column of the only stream with `refs_run` flushed
+    /// once. The lane is chosen from observed state: only the epoch
+    /// close, the injector's clock and event timestamps read `refs_run`
+    /// between references, so with one stream and all three off the
+    /// deferred flush is invisible.
     // analyze: hot
-    // analyze: total — the single-stream fast path: try_new rejects zero-core configs so streams[0]/placement[0] exist, and next_burst returns got <= col.len() by its trait contract
-    fn advance_batched_single(&mut self, refs_per_node: u64) {
-        let (n, c) = self.placement[0];
-        let (n, c) = (n as usize, c as usize);
-        let mut col = [0u64; BURST_COLS];
-        let mut remaining = refs_per_node;
-        // `refs_run` may be flushed once per burst exactly when nothing
-        // observes it mid-burst: it is read between references only by
-        // the epoch close, the fault injector's logical clock and event
-        // timestamps. With all three off, deferring the increment is
-        // invisible.
-        if self.observer.epoch_len().is_none()
+    // analyze: total — cols holds streams.len()*BURST_COLS words with one window per stream, placement has one entry per stream (try_new), and next_burst keeps 1 <= got <= BURST_COLS by its trait contract
+    fn advance_batched(&mut self, refs_per_node: u64) {
+        let epoch = self.observer.epoch_len();
+        let whole_columns = self.streams.len() == 1
+            && epoch.is_none()
             && self.injector.is_none()
-            && !self.observer.wants_events()
-        {
-            while remaining > 0 {
-                let want = remaining.min(BURST_COLS as u64) as usize;
-                let got = self.streams[0].next_burst(&mut col[..want]);
+            && !self.observer.wants_events();
+        // Moved out for the call so the hierarchy (which borrows `self`)
+        // can run while a column is being read; restored below.
+        let mut cols = std::mem::take(&mut self.batch_cols);
+        let mut done = 0;
+        while done < refs_per_node {
+            // Refills are capped at the references left in this call so
+            // every gathered word is consumed before returning — the
+            // scratch holds no state between `advance` calls.
+            let cap = (refs_per_node - done).min(BURST_COLS as u64) as usize;
+            if whole_columns {
+                let (n, c) = self.placement[0];
+                let (n, c) = (n as usize, c as usize);
+                let got = self.streams[0].next_burst(&mut cols[..cap]);
+                let col = &cols[..got];
                 let mut i = 0;
                 while i < got {
                     let word = col[i];
@@ -492,63 +488,30 @@ impl<S: ReferenceStream> Simulation<S> {
                     i += 1;
                 }
                 self.refs_run += got as u64;
-                remaining -= got as u64;
+                done += got as u64;
+                continue;
             }
-        } else {
-            let epoch = self.observer.epoch_len();
-            while remaining > 0 {
-                let want = remaining.min(BURST_COLS as u64) as usize;
-                let got = self.streams[0].next_burst(&mut col[..want]);
-                for &word in &col[..got] {
-                    self.dispatch_word(n, c, word);
-                    self.refs_run += 1;
-                    if let Some(e) = epoch {
-                        if self.refs_run.is_multiple_of(e) {
-                            self.close_epoch();
-                        }
-                    }
-                }
-                remaining -= got as u64;
-            }
-        }
-    }
-
-    /// Batched dispatch for multi-stream machines. Rounds stay strictly
-    /// interleaved (stream 0, 1, ... per round, exactly as single-step
-    /// dispatch orders them) but each stream's references are gathered a
-    /// column at a time into the preallocated `batch_cols` scratch, so
-    /// the virtual-call and buffer-management cost amortizes over the
-    /// column depth.
-    // analyze: hot
-    // analyze: total — cols holds streams.len()*BURST_COLS words with one window per stream, and next_burst keeps got <= BURST_COLS by its trait contract
-    fn advance_batched_multi(&mut self, refs_per_node: u64) {
-        let epoch = self.observer.epoch_len();
-        for r in 0..refs_per_node {
-            // Refills are capped at the references left in this call so
-            // every gathered word is consumed before returning — the
-            // scratch holds no state between `advance` calls.
-            let cap = (refs_per_node - r).min(BURST_COLS as u64) as usize;
             for s in 0..self.streams.len() {
+                let base = s * BURST_COLS;
                 if self.batch_head[s] == self.batch_len[s] {
-                    let base = s * BURST_COLS;
-                    let got = self.streams[s].next_burst(&mut self.batch_cols[base..base + cap]);
+                    let got = self.streams[s].next_burst(&mut cols[base..base + cap]);
                     self.batch_len[s] = got as u32;
                     self.batch_head[s] = 0;
                 }
-                let word = self.batch_cols[s * BURST_COLS + self.batch_head[s] as usize];
+                let word = cols[base + self.batch_head[s] as usize];
                 self.batch_head[s] += 1;
                 let (n, c) = self.placement[s];
                 self.dispatch_word(n as usize, c as usize, word);
             }
-            // `refs_run` doubles as the fault model's logical clock, so
-            // it advances per round, not per batch.
             self.refs_run += 1;
             if let Some(e) = epoch {
                 if self.refs_run.is_multiple_of(e) {
                     self.close_epoch();
                 }
             }
+            done += 1;
         }
+        self.batch_cols = cols;
     }
 
     /// Dispatches one packed reference word into the hierarchy. The
@@ -647,8 +610,8 @@ impl<S: ReferenceStream> Simulation<S> {
     /// in. Pure L2 hits never come through here — they involve neither
     /// the directory nor a memory controller.
     fn charge(&mut self, n: usize, c: usize, class: StallClass, base: u64, obs: MissClass, line: u64) {
-        let (latency, faults) = match &mut self.injector {
-            None => (base, None),
+        let (latency, d) = match &mut self.injector {
+            None => (base, FaultStats::default()),
             Some(inj) => {
                 let kind = match class {
                     StallClass::L2Hit | StallClass::Local => TransactionKind::LocalMemory,
@@ -657,73 +620,68 @@ impl<S: ReferenceStream> Simulation<S> {
                 };
                 let before = *inj.stats();
                 let latency = inj.transaction_latency(self.refs_run, kind, base);
-                (latency, Some(inj.stats().delta(&before)))
+                (latency, inj.stats().delta(&before))
             }
         };
-        if let Some(d) = &faults {
-            if d.nacks > 0 {
-                // NACK outcomes are protocol events: surface them in
-                // the directory counters alongside the rest.
-                self.dir.record_nacks(d.nacks);
+        // NACK outcomes are protocol events: surface them in the
+        // directory counters alongside the rest, and their retry cycles
+        // in the NackRetry histogram and the attribution.
+        if d.nacks > 0 {
+            self.dir.record_nacks(d.nacks);
+            self.observer.record_latency(MissClass::NackRetry, d.retry_cycles);
+            if let Some(attr) = &mut self.attr {
+                attr.record_nack(d.retry_cycles);
             }
-            self.note_fault_outcomes(n, c, line, d);
+            self.event(n, c, line, EventKind::Nack { count: d.nacks as u32 });
         }
+        if d.retries > 0 {
+            self.event(n, c, line, EventKind::Retry { count: d.retries as u32 });
+        }
+        if d.watchdog_trips > 0 {
+            self.event(n, c, line, EventKind::Watchdog);
+        }
+        self.stall(n, c, line, class, obs, (base, latency));
+    }
+
+    /// Stalls core `(n, c)` for `latency` cycles of `class` — the one
+    /// fan-out point every charged stall passes through, in a fixed
+    /// order: the observer's `obs` histogram, the attribution split (any
+    /// cycles beyond the fault-free `base` count as fault extra), the
+    /// traced miss event, then the timing model.
+    // Forced inline: every L1 miss that hits the L2 runs this, and out of
+    // line it read a few percent slower on the uniprocessor benchmark.
+    #[inline(always)]
+    fn stall(
+        &mut self,
+        n: usize,
+        c: usize,
+        line: u64,
+        class: StallClass,
+        obs: MissClass,
+        (base, latency): (u64, u64),
+    ) {
         self.observer.record_latency(obs, latency);
         if let Some(attr) = &mut self.attr {
             attr.record(obs, class, base, latency);
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: n as u16,
-                core: c as u16,
-                line,
-                kind: EventKind::Miss { class: obs, latency },
-            });
-        }
+        self.event(n, c, line, EventKind::Miss { class: obs, latency });
         // analyze: total — node and core ids come from placement entries validated against the node grid in try_new
         let core = &mut self.nodes[n].cores[c];
         core.timing.stall(class, latency, &mut core.bd);
     }
 
-    /// Surfaces what the fault injector did to one transaction in the
-    /// observer: the NACK/retry extra cycles feed the
-    /// [`MissClass::NackRetry`] histogram, and each outcome becomes a
-    /// traced event.
-    fn note_fault_outcomes(&mut self, n: usize, c: usize, line: u64, d: &FaultStats) {
-        if d.nacks == 0 && d.watchdog_trips == 0 {
-            return;
-        }
-        if d.nacks > 0 {
-            self.observer.record_latency(MissClass::NackRetry, d.retry_cycles);
-            if let Some(attr) = &mut self.attr {
-                attr.record_nack(d.retry_cycles);
-            }
-        }
-        if !self.observer.wants_events() {
-            return;
-        }
-        let (at, node, core) = (self.refs_run, n as u16, c as u16);
-        if d.nacks > 0 {
+    /// Records a traced event stamped with the logical clock — the one
+    /// place events enter the observer. A no-op unless tracing is on.
+    #[inline]
+    fn event(&mut self, node: usize, core: usize, line: u64, kind: EventKind) {
+        if self.observer.wants_events() {
             self.observer.record_event(Event {
-                at,
-                node,
-                core,
+                at: self.refs_run,
+                node: node as u16,
+                core: core as u16,
                 line,
-                kind: EventKind::Nack { count: d.nacks as u32 },
+                kind,
             });
-        }
-        if d.retries > 0 {
-            self.observer.record_event(Event {
-                at,
-                node,
-                core,
-                line,
-                kind: EventKind::Retry { count: d.retries as u32 },
-            });
-        }
-        if d.watchdog_trips > 0 {
-            self.observer.record_event(Event { at, node, core, line, kind: EventKind::Watchdog });
         }
     }
 
@@ -743,26 +701,10 @@ impl<S: ReferenceStream> Simulation<S> {
             let nacked = inj.stats().nacks - nacks_before;
             if nacked > 0 {
                 self.dir.record_nacks(nacked);
-                if self.observer.wants_events() {
-                    self.observer.record_event(Event {
-                        at: self.refs_run,
-                        node: n as u16,
-                        core: 0,
-                        line,
-                        kind: EventKind::Nack { count: nacked as u32 },
-                    });
-                }
+                self.event(n, 0, line, EventKind::Nack { count: nacked as u32 });
             }
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: n as u16,
-                core: 0,
-                line,
-                kind: EventKind::Writeback,
-            });
-        }
+        self.event(n, 0, line, EventKind::Writeback);
     }
 
     /// [`Simulation::access_line`] for a `MemRef` (the single-step oracle
@@ -880,21 +822,8 @@ impl<S: ReferenceStream> Simulation<S> {
                 self.ensure_ownership(n, c, line);
             }
             let latency = self.latencies.l2_hit;
-            self.observer.record_latency(MissClass::L2Hit, latency);
-            if let Some(attr) = &mut self.attr {
-                attr.record(MissClass::L2Hit, StallClass::L2Hit, latency, latency);
-            }
-            if self.observer.wants_events() {
-                self.observer.record_event(Event {
-                    at: self.refs_run,
-                    node: n as u16,
-                    core: c as u16,
-                    line,
-                    kind: EventKind::Miss { class: MissClass::L2Hit, latency },
-                });
-            }
+            self.stall(n, c, line, StallClass::L2Hit, MissClass::L2Hit, (latency, latency));
             let core = &mut self.nodes[n].cores[c];
-            core.timing.stall(StallClass::L2Hit, latency, &mut core.bd);
             let l1 = if is_ifetch { &mut core.l1i } else { &mut core.l1d };
             let _ = l1.insert(line, write);
             if is_ifetch {
@@ -954,25 +883,9 @@ impl<S: ReferenceStream> Simulation<S> {
             if let Some(inj) = &mut self.injector {
                 latency += inj.memory_fetch_extra(self.refs_run);
             }
-            self.observer.record_latency(MissClass::Local, latency);
-            if let Some(attr) = &mut self.attr {
-                // Anything the injector added beyond the fault-free
-                // local latency is attributed as fault extra.
-                attr.record(MissClass::Local, StallClass::Local, self.latencies.local, latency);
-            }
-            if self.observer.wants_events() {
-                self.observer.record_event(Event {
-                    at: self.refs_run,
-                    node: n as u16,
-                    core: c as u16,
-                    line,
-                    kind: EventKind::Miss { class: MissClass::Local, latency },
-                });
-            }
-            let node = &mut self.nodes[n];
-            let core = &mut node.cores[c];
-            core.timing.stall(StallClass::Local, latency, &mut core.bd);
-            node.misses.instr_local += 1;
+            let base = self.latencies.local;
+            self.stall(n, c, line, StallClass::Local, MissClass::Local, (base, latency));
+            self.nodes[n].misses.instr_local += 1;
             self.fill(n, c, line, false, is_ifetch, write);
             return;
         }
@@ -1179,15 +1092,7 @@ impl<S: ReferenceStream> Simulation<S> {
             let cleaned = node.l2.clean(line);
             debug_assert!(cleaned, "directory said the owner's copy is in its L2");
         }
-        if self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: owner as u16,
-                core: 0,
-                line,
-                kind: EventKind::Downgrade,
-            });
-        }
+        self.event(owner as usize, 0, line, EventKind::Downgrade);
     }
 
     /// Checks the coherence invariants of the whole machine, returning
@@ -1263,14 +1168,8 @@ impl<S: ReferenceStream> Simulation<S> {
         for m in set {
             self.invalidate_all_at(m as usize, line);
         }
-        if !set.is_empty() && self.observer.wants_events() {
-            self.observer.record_event(Event {
-                at: self.refs_run,
-                node: requester as u16,
-                core: 0,
-                line,
-                kind: EventKind::Invalidation { targets: set.len() },
-            });
+        if !set.is_empty() {
+            self.event(requester, 0, line, EventKind::Invalidation { targets: set.len() });
         }
     }
 

@@ -1,7 +1,7 @@
 //! Bit-identity contract of the batched reference dispatch.
 //!
 //! The simulator's default hot path gathers references from each stream
-//! in 64-deep packed columns ([`ReferenceStream::next_burst`]) instead of
+//! in 512-deep packed columns ([`ReferenceStream::next_burst`]) instead of
 //! one virtual `next_ref` call per reference. The contract is that this
 //! is *pure mechanism*: every counter of every report — misses,
 //! breakdowns, histograms, epoch series, fault statistics — must be
@@ -9,10 +9,12 @@
 //! ([`Simulation::set_batched_dispatch`]).
 //!
 //! The drives here are adversarial about burst boundaries on purpose:
-//! run lengths that are not multiples of the 64-word column, epochs that
-//! close mid-burst, a fault storm whose injector reads the logical clock
-//! between references, and a multi-node machine whose streams must stay
-//! strictly round-interleaved.
+//! run lengths that are not multiples of the 512-word column, epochs
+//! that close mid-burst, a fault storm whose injector reads the logical
+//! clock between references, and a multi-node machine whose streams must
+//! stay strictly round-interleaved. The one-stream machine is driven both
+//! on and off the whole-column lane (the lane is taken only with no
+//! epochs, no injector and no event trace).
 //!
 //! [`ReferenceStream::next_burst`]: oltp_chip_integration::trace::ReferenceStream::next_burst
 //! [`Simulation::set_batched_dispatch`]: oltp_chip_integration::sim::Simulation::set_batched_dispatch
@@ -71,11 +73,12 @@ fn assert_dispatch_identity(
 
 #[test]
 fn batched_dispatch_matches_single_step_on_non_multiple_lengths() {
-    // Uniprocessor — the stack-column fast path with the deferred
-    // refs_run flush. Every length is coprime with the 64-word column
-    // so chunks start and end mid-burst.
+    // Uniprocessor — the whole-column lane with the deferred refs_run
+    // flush. Every length is coprime with the 512-word column so chunks
+    // start and end mid-burst; 511 and 513 straddle the column edge.
     let cfg = SystemConfig::paper_base_uni();
-    assert_dispatch_identity(&cfg, 11, None, None, 10_001, &[1, 63, 65, 4_097, 33_333]);
+    let chunks = [1, 63, 65, 511, 513, 4_097, 33_333];
+    assert_dispatch_identity(&cfg, 11, None, None, 10_001, &chunks);
 }
 
 #[test]
@@ -90,10 +93,13 @@ fn batched_dispatch_matches_single_step_multi_node() {
 fn batched_dispatch_matches_single_step_with_epochs_spanning_bursts() {
     // An epoch length coprime with the column depth forces epoch closes
     // in the middle of gathered bursts; histograms exercise per-class
-    // latency recording on both paths.
-    let cfg = SystemConfig::paper_base_mp8();
+    // latency recording on both paths. The uniprocessor drive keeps the
+    // one-stream machine off the whole-column lane.
     let obs = ObsConfig { histograms: true, epoch: Some(777), trace: None };
-    assert_dispatch_identity(&cfg, 7, Some(obs), None, 4_001, &[10_007, 31_337]);
+    let mp8 = SystemConfig::paper_base_mp8();
+    assert_dispatch_identity(&mp8, 7, Some(obs.clone()), None, 4_001, &[10_007, 31_337]);
+    let uni = SystemConfig::paper_base_uni();
+    assert_dispatch_identity(&uni, 7, Some(obs), None, 4_001, &[10_007, 31_337]);
 }
 
 #[test]
@@ -114,11 +120,16 @@ fn batched_dispatch_matches_single_step_with_event_trace() {
 fn batched_dispatch_matches_single_step_under_fault_storm() {
     // The injector reads the logical clock between references (NACK
     // windows, retry backoff), so the fault path is the strictest test
-    // of per-round `refs_run` advancement.
+    // of per-round `refs_run` advancement. The uniprocessor drive keeps
+    // the one-stream machine off the whole-column lane and runs into the
+    // plan's memory-controller brown-out, whose start the injector reads
+    // off the logical clock in the middle of a column.
     let plan = FaultPlan::from_toml_str(include_str!("../examples/fault_storm.toml"))
         .expect("the example fault plan parses");
-    let cfg = SystemConfig::paper_fully_integrated(2);
-    assert_dispatch_identity(&cfg, 17, None, Some(&plan), 5_000, &[15_013, 7_919]);
+    let two = SystemConfig::paper_fully_integrated(2);
+    assert_dispatch_identity(&two, 17, None, Some(&plan), 5_000, &[15_013, 7_919]);
+    let uni = SystemConfig::paper_base_uni();
+    assert_dispatch_identity(&uni, 17, None, Some(&plan), 5_000, &[15_013, 7_919, 600_007]);
 }
 
 #[test]
@@ -153,7 +164,7 @@ fn next_burst_is_a_view_of_the_same_stream() {
     };
     let mut by_burst = build().remove(0);
     let mut by_ref = build().remove(0);
-    let mut col = [0u64; 61]; // deliberately not the simulator's 64
+    let mut col = [0u64; 61]; // deliberately not the simulator's 512
     let mut got = Vec::new();
     while got.len() < 50_000 {
         let n = by_burst.next_burst(&mut col);

@@ -5,7 +5,9 @@
 //!   whether an observer is absent, disabled, or fully enabled;
 //! * determinism — same seeds export byte-identical JSON run reports
 //!   and JSONL traces;
-//! * trace filtering and epoch accounting behave as documented.
+//! * trace filtering and epoch accounting behave as documented;
+//! * a golden fault-storm run pins the exact event trace and observer
+//!   export, so event order cannot drift across a refactor unnoticed.
 
 use oltp_chip_integration::obs::json::{validate, validate_jsonl};
 use oltp_chip_integration::prelude::*;
@@ -146,4 +148,52 @@ fn reset_stats_also_resets_the_observer() {
     assert!(sim.observer().epoch_samples().is_empty());
     sim.run(MEAS);
     assert!(sim.observer().histogram(MissClass::L2Hit).unwrap().count() > 0);
+}
+
+/// FNV-1a (64-bit) over `bytes`: a dependency-free fingerprint for the
+/// golden trace below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Fingerprints of the golden run's exports. Any change to event order,
+/// timestamps, latencies or histogram contents moves them, so a change
+/// that claims to leave the simulation bit-identical must leave them be.
+const GOLDEN_TRACE_FNV: u64 = 0xfe54_51d7_d58a_20a8;
+const GOLDEN_OBSERVER_FNV: u64 = 0x73d6_170f_f454_4306;
+
+#[test]
+fn fault_storm_event_trace_matches_the_golden_digest() {
+    // 2 fully integrated nodes with a 1M1w L2 and the RAC under the
+    // example fault storm: small enough to run in a test, busy enough
+    // to emit every protocol event kind the simulator traces.
+    let mut b = SystemConfig::builder();
+    b.nodes(2)
+        .integration(IntegrationLevel::FullyIntegrated)
+        .l2_sram(1 << 20, 1)
+        .rac(RacConfig::paper());
+    let cfg = b.build().expect("valid config");
+    let plan = FaultPlan::from_toml_str(include_str!("../examples/fault_storm.toml"))
+        .expect("the example fault plan parses");
+    let mut sim = Simulation::with_oltp(&cfg, OltpParams::default()).expect("valid config");
+    sim.set_fault_injector(FaultInjector::new(plan, 42).expect("valid fault plan"));
+    sim.set_observer(Observer::new(ObsConfig {
+        histograms: true,
+        epoch: None,
+        trace: Some(TraceConfig { capacity: 1 << 16, filter: TraceFilter::default() }),
+    }));
+    sim.warm_up(20_000);
+    sim.run(100_000);
+
+    let ring = sim.observer().events().expect("tracing is on");
+    assert_eq!(ring.dropped(), 0, "the ring must hold the whole run");
+    for kind in ["miss", "nack", "retry", "writeback", "downgrade", "invalidation"] {
+        assert!(ring.iter().any(|e| e.kind.as_str() == kind), "no {kind} event in the trace");
+    }
+    let trace = sim.observer().trace_jsonl();
+    let observer = sim.observer().to_json().to_string();
+    assert_eq!(fnv1a64(trace.as_bytes()), GOLDEN_TRACE_FNV, "event trace bytes changed");
+    assert_eq!(fnv1a64(observer.as_bytes()), GOLDEN_OBSERVER_FNV, "observer export bytes changed");
 }
