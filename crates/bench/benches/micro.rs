@@ -6,15 +6,22 @@
 //! builds hermetically): each benchmark is timed over a fixed operation
 //! count after a short warm-up, reporting ns/op and Mops/s. Set
 //! `CSIM_BENCH_QUICK=1` to cut iteration counts by 10x.
+//!
+//! One result is a gate, not a reading: the struct-of-arrays [`Cache`]
+//! is timed against [`ReferenceCache`], the implementation it replaced,
+//! and the bench exits non-zero if the ratio drops below 1.0x. The ratio
+//! compares two kernels on the same host in the same process, so it
+//! holds on any machine. End-to-end simulator speed is measured by
+//! `perfbench/` (see its README.md), not here.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use csim_cache::Cache;
+use csim_cache::{Cache, ReferenceCache};
 use csim_coherence::Directory;
 use csim_config::{CacheGeometry, SystemConfig};
 use csim_core::Simulation;
-use csim_trace::ReferenceStream;
+use csim_trace::{ReferenceStream, SimRng};
 use csim_workload::{OltpParams, OltpWorkload};
 
 fn iterations(base: u64) -> u64 {
@@ -35,12 +42,12 @@ fn bench(name: &str, n: u64, mut f: impl FnMut()) {
     for _ in 0..n {
         f();
     }
-    let elapsed = start.elapsed();
-    let ns_per_op = elapsed.as_nanos() as f64 / n as f64;
-    println!(
-        "{name:<32} {n:>10} ops  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s",
-        1e3 / ns_per_op
-    );
+    report(name, n, start.elapsed().as_secs_f64());
+}
+
+fn report(name: &str, n: u64, secs: f64) {
+    let ns_per_op = secs * 1e9 / n as f64;
+    println!("{name:<32} {n:>10} ops  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s", 1e3 / ns_per_op);
 }
 
 fn bench_cache() {
@@ -60,6 +67,66 @@ fn bench_cache() {
             black_box(cache.insert(line, false));
         }
     });
+}
+
+/// Seconds for `ops` calls of one cache kernel under a deterministic
+/// access/insert stream. Generic over the kernel so the SoA and
+/// reference caches run literally the same loop. `inline(never)` pins
+/// each instantiation to its own codegen context: inlined next to the
+/// other kernel's copy of the loop, the optimizer was able to specialize
+/// the reference kernel against the rest of the run and deflate its
+/// timed work.
+#[inline(never)]
+fn time_cache_kernel(ops: u64, line_mask: u64, mut access: impl FnMut(u64, bool)) -> f64 {
+    let mut rng = SimRng::seed_from_u64(0xCAFE);
+    let start = Instant::now();
+    for _ in 0..ops {
+        let r = rng.next_u64();
+        access(r >> 32 & line_mask, r & 1 == 0);
+    }
+    start.elapsed().as_secs_f64()
+}
+
+/// Times the SoA [`Cache`] against [`ReferenceCache`] on the default
+/// configuration's 8 MB direct-mapped L2, the largest slot array the
+/// simulator probes, and returns the SoA kernel's speedup (best rep of
+/// each).
+fn bench_cache_kernel() -> f64 {
+    const OPS: u64 = 4_000_000;
+    const REPS: usize = 5;
+    let geometry = CacheGeometry::new(8 << 20, 1, 64).expect("valid geometry");
+    // 2x the cache's line capacity: hits, misses and evictions all stay
+    // frequent, so both the probe and the insert/evict paths weigh in.
+    let line_mask = 2 * geometry.lines() - 1;
+    let mut soa = Cache::new(geometry);
+    let mut reference = ReferenceCache::new(geometry);
+    // Interleave the two kernels rep by rep: host frequency and cache
+    // state drift over a run, and back-to-back blocks would hand the
+    // second kernel a warmer machine than the first.
+    let (mut best_soa, mut best_reference) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        best_soa = best_soa.min(time_cache_kernel(OPS, line_mask, |line, write| {
+            if !soa.access(line, write).is_hit() {
+                soa.insert(line, write);
+            }
+        }));
+        best_reference = best_reference.min(time_cache_kernel(OPS, line_mask, |line, write| {
+            if !reference.access(line, write).is_hit() {
+                reference.insert(line, write);
+            }
+        }));
+    }
+    // Both counter blocks are read AFTER timing, and compared. This is a
+    // differential check on the timed work, and also an optimization
+    // barrier: with the caches dropped unread, the compiler is free to
+    // strip the statistics accounting out of whichever kernel it can
+    // fully analyze (it did, for the reference's simpler loop).
+    assert_eq!(soa.stats(), reference.stats(), "the two kernels must do identical logical work");
+    report("cache/kernel_soa_8M1w", OPS, best_soa);
+    report("cache/kernel_reference_8M1w", OPS, best_reference);
+    let speedup = best_reference / best_soa;
+    println!("{:<32} {speedup:>10.2}x (gate: >= 1.00x)", "cache/kernel_speedup");
+    speedup
 }
 
 fn bench_directory() {
@@ -106,7 +173,14 @@ fn bench_simulation() {
 fn main() {
     println!("{:<32} {:>10}      {:>9}        {:>8}", "benchmark", "ops", "time", "rate");
     bench_cache();
+    let kernel_speedup = bench_cache_kernel();
     bench_directory();
     bench_workload();
     bench_simulation();
+    // The SoA kernel must never lose to the implementation it replaced:
+    // that would mean the optimized probe regressed into net overhead.
+    if kernel_speedup < 1.0 {
+        eprintln!("FAIL: SoA cache kernel slower than ReferenceCache ({kernel_speedup:.2}x)");
+        std::process::exit(1);
+    }
 }

@@ -4,8 +4,9 @@
 //! Every probe in the simulator's inner loop lands here. The previous
 //! packed layout (dirty bit folded into the tag word) made every probe
 //! pay a mask before the compare and every hit an unconditional
-//! read-modify-write store to refresh the dirty bit — `kernel_attribution`
-//! in BENCH_sweep.json localized ~99% of kernel time to exactly that
+//! read-modify-write store to refresh the dirty bit — a host-sampler
+//! split of the kernel's wall time (recorded in CHANGES.md with the
+//! change that introduced this layout) put ~99% of it in exactly that
 //! arithmetic. The slots are now split into parallel arrays:
 //!
 //! ```text
@@ -26,7 +27,10 @@
 //!
 //! Semantics are bit-identical to the retained seed implementation
 //! ([`crate::ReferenceCache`]); `tests/sweep_identity.rs` proves it on a
-//! million-operation randomized stream per geometry.
+//! million-operation randomized stream per geometry, and the `micro`
+//! bench fails if this kernel ever times slower than the reference.
+//! Simulator speed itself is measured by `perfbench/` (see its
+//! README.md).
 
 use csim_config::CacheGeometry;
 

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::toml::{self, TomlValue};
+use crate::toml::{self, ParseError};
 
 /// How a NACKed requester retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,6 +217,7 @@ impl FaultPlan {
                 "nack" => {
                     let NackPlan { mut prob, mut retry } = plan.nack;
                     for (key, value, line) in item.entries {
+                        let value = value.as_scalar(line)?;
                         match key.as_str() {
                             "prob" => prob = value.as_f64(line)?,
                             "max_retries" => retry.max_retries = value.as_u64(line)? as u32,
@@ -230,6 +231,7 @@ impl FaultPlan {
                 }
                 "network" => {
                     for (key, value, line) in item.entries {
+                        let value = value.as_scalar(line)?;
                         match key.as_str() {
                             "mean_hops" => plan.network.mean_hops = value.as_f64(line)?,
                             "line_cycles" => plan.network.line_cycles = value.as_f64(line)?,
@@ -240,6 +242,7 @@ impl FaultPlan {
                 "link_fault" => {
                     let mut f = LinkFault { start: 0, duration: 0, capacity: 1.0 };
                     for (key, value, line) in item.entries {
+                        let value = value.as_scalar(line)?;
                         match key.as_str() {
                             "start" => f.start = value.as_u64(line)?,
                             "duration" => f.duration = value.as_u64(line)?,
@@ -252,6 +255,7 @@ impl FaultPlan {
                 "mc_fault" => {
                     let mut f = McFault { start: 0, duration: 0, extra_cycles: 0 };
                     for (key, value, line) in item.entries {
+                        let value = value.as_scalar(line)?;
                         match key.as_str() {
                             "start" => f.start = value.as_u64(line)?,
                             "duration" => f.duration = value.as_u64(line)?,
@@ -313,37 +317,9 @@ impl fmt::Display for FaultPlanError {
 
 impl Error for FaultPlanError {}
 
-// Re-exported here so `toml.rs` stays private.
-impl TomlValue {
-    pub(crate) fn as_f64(&self, line: usize) -> Result<f64, FaultPlanError> {
-        match self {
-            TomlValue::Float(v) => Ok(*v),
-            TomlValue::Integer(v) => Ok(*v as f64),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected a number, found {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn as_u64(&self, line: usize) -> Result<u64, FaultPlanError> {
-        match self {
-            TomlValue::Integer(v) => Ok(*v),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected an integer, found {other:?}"),
-            }),
-        }
-    }
-
-    pub(crate) fn as_bool(&self, line: usize) -> Result<bool, FaultPlanError> {
-        match self {
-            TomlValue::Bool(v) => Ok(*v),
-            other => Err(FaultPlanError::Parse {
-                line,
-                message: format!("expected true or false, found {other:?}"),
-            }),
-        }
+impl From<ParseError> for FaultPlanError {
+    fn from(ParseError { line, message }: ParseError) -> Self {
+        FaultPlanError::Parse { line, message }
     }
 }
 
@@ -470,6 +446,14 @@ mod tests {
         assert!(matches!(err, FaultPlanError::Parse { .. }), "{err}");
         let err = FaultPlan::from_toml_str("[nack]\nexponential = 3\n").unwrap_err();
         assert!(matches!(err, FaultPlanError::Parse { .. }), "{err}");
+    }
+
+    #[test]
+    fn toml_rejects_strings_and_lists_on_their_line() {
+        for text in ["[nack]\n\nprob = \"0.5\"\n", "[nack]\n\nprob = [0.5]\n"] {
+            let err = FaultPlan::from_toml_str(text).unwrap_err();
+            assert!(matches!(err, FaultPlanError::Parse { line: 3, .. }), "{err}");
+        }
     }
 
     #[test]

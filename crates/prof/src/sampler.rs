@@ -7,8 +7,8 @@
 //! active counts as one idle sample (so "the process was mostly not in
 //! a hot loop" is visible instead of silently dropped). The result is a
 //! wall-time-by-region table — the measurement that answers *where the
-//! host CPU spends its time*, e.g. how the packed-cache probe kernel
-//! splits between RNG work and the probe itself.
+//! host CPU spends its time*, e.g. how a run splits between the advance
+//! loop and the workload's burst refill.
 //!
 //! Everything here is wall-clock by nature and therefore explicitly
 //! nondeterministic: region reports only ever ride in the run report's
@@ -164,31 +164,23 @@ mod tests {
     #[test]
     fn sampler_observes_a_published_region() {
         let sampler = HostSampler::start(2000);
-        set_region(Region::PackedProbe);
+        set_region(Region::Advance);
         // Busy-publish long enough for several ticks to land.
         let until = Instant::now() + Duration::from_millis(50);
         while Instant::now() < until {
-            set_region(Region::PackedProbe);
+            set_region(Region::Advance);
         }
         set_region(Region::Idle);
         let report = sampler.stop();
         assert!(report.ticks > 0);
-        assert!(
-            report.samples(Region::PackedProbe) > 0,
-            "expected packed-probe samples, got {report:?}"
-        );
-        assert!(report.share(Region::PackedProbe) > 0.0);
-        assert!(report.total_samples() >= report.samples(Region::PackedProbe));
+        assert!(report.samples(Region::Advance) > 0, "expected advance samples, got {report:?}");
+        assert!(report.share(Region::Advance) > 0.0);
+        assert!(report.total_samples() >= report.samples(Region::Advance));
     }
 
     #[test]
     fn report_serializes_and_tabulates() {
-        let report = RegionReport {
-            hz: 997,
-            ticks: 10,
-            counts: [3, 7, 0, 0, 0, 0],
-            elapsed_ms: 10.5,
-        };
+        let report = RegionReport { hz: 997, ticks: 10, counts: [3, 7, 0], elapsed_ms: 10.5 };
         let s = report.to_json().to_string();
         csim_obs::json::validate(&s).unwrap();
         assert!(s.contains("\"hz\":997"));

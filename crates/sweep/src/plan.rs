@@ -4,10 +4,9 @@ use std::error::Error;
 use std::fmt;
 
 use csim_config::IntegrationLevel;
+use csim_fault::toml::{self, ParseError};
 use csim_trace::SimRng;
 use csim_workload::OltpParams;
-
-use crate::toml;
 
 /// One L2 geometry of the grid: size, associativity, and the spec string
 /// it was written as (used verbatim in run labels).
@@ -184,6 +183,14 @@ impl SweepPlan {
         let mut base_seed: Option<u64> = None;
         let mut runs_per_config: Option<u64> = None;
         for item in toml::parse(input)? {
+            // `[[table]]` arrays are a fault-plan form; the sweep dialect
+            // has none.
+            if item.array {
+                return Err(SweepError::Parse {
+                    line: item.line,
+                    message: format!("expected '[table]', found '[[{}]]'", item.table),
+                });
+            }
             match item.table.as_str() {
                 "sweep" => {
                     for (key, value, line) in item.entries {
@@ -323,7 +330,7 @@ impl SweepPlan {
 }
 
 fn list_of_u64(value: &toml::TomlValue, line: usize) -> Result<Vec<u64>, SweepError> {
-    value.as_list(line)?.iter().map(|s| s.as_u64(line)).collect()
+    Ok(value.as_list(line)?.iter().map(|s| s.as_u64(line)).collect::<Result<_, _>>()?)
 }
 
 fn unknown_key(table: &str, key: &str, line: usize) -> SweepError {
@@ -416,6 +423,12 @@ impl fmt::Display for SweepError {
 }
 
 impl Error for SweepError {}
+
+impl From<ParseError> for SweepError {
+    fn from(ParseError { line, message }: ParseError) -> Self {
+        SweepError::Parse { line, message }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -523,6 +536,14 @@ mod tests {
         assert!(err.to_string().contains("unknown key 'nom'"), "{err}");
         let err = SweepPlan::from_toml_str("[grid]\nnodes = [0]\n").unwrap_err();
         assert!(matches!(err, SweepError::Invalid { field: "grid.nodes", .. }), "{err}");
+    }
+
+    #[test]
+    fn table_arrays_and_misplaced_values_are_rejected_on_their_line() {
+        let err = SweepPlan::from_toml_str("[sweep]\nmeas = 10\n[[grid]]\n").unwrap_err();
+        assert!(matches!(err, SweepError::Parse { line: 3, .. }), "{err}");
+        let err = SweepPlan::from_toml_str("[grid]\n\nnodes = 8\n").unwrap_err();
+        assert!(matches!(err, SweepError::Parse { line: 3, .. }), "{err}");
     }
 
     #[test]

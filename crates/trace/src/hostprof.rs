@@ -10,11 +10,11 @@
 //! stripe and per-marker cost of one relaxed store.
 //!
 //! The markers live in this leaf crate so every layer (workload burst
-//! refill, the core advance loop, the bench kernels) can publish
-//! without new dependency edges. Marker stores never touch simulation
-//! state: a run with a sampler attached is bit-identical to a run
-//! without one, and when nobody samples, the stores are dead traffic to
-//! a thread-striped cache line nothing else reads.
+//! refill, the core advance loop) can publish without new dependency
+//! edges. Marker stores never touch simulation state: a run with a
+//! sampler attached is bit-identical to a run without one, and when
+//! nobody samples, the stores are dead traffic to a thread-striped
+//! cache line nothing else reads.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -30,25 +30,12 @@ pub enum Region {
     Advance = 1,
     /// The workload's amortized 64-reference burst refill.
     BurstRefill = 2,
-    /// The packed-slot cache probe kernel (bench instrumentation).
-    PackedProbe = 3,
-    /// The `ReferenceCache` probe kernel (bench instrumentation).
-    ReferenceProbe = 4,
-    /// Random-number / address generation (bench instrumentation).
-    Rng = 5,
 }
 
 impl Region {
     /// Every region, in id order. Samplers and reports iterate in this
     /// order so exports are stable.
-    pub const ALL: [Region; 6] = [
-        Region::Idle,
-        Region::Advance,
-        Region::BurstRefill,
-        Region::PackedProbe,
-        Region::ReferenceProbe,
-        Region::Rng,
-    ];
+    pub const ALL: [Region; 3] = [Region::Idle, Region::Advance, Region::BurstRefill];
 
     /// Number of regions (array-index domain for per-region tallies).
     pub const COUNT: usize = Self::ALL.len();
@@ -59,9 +46,6 @@ impl Region {
             Region::Idle => "idle",
             Region::Advance => "advance",
             Region::BurstRefill => "burst-refill",
-            Region::PackedProbe => "packed-probe",
-            Region::ReferenceProbe => "reference-probe",
-            Region::Rng => "rng",
         }
     }
 
@@ -71,9 +55,6 @@ impl Region {
         match v {
             1 => Region::Advance,
             2 => Region::BurstRefill,
-            3 => Region::PackedProbe,
-            4 => Region::ReferenceProbe,
-            5 => Region::Rng,
             _ => Region::Idle,
         }
     }
@@ -157,7 +138,7 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             Region::ALL.iter().map(|r| r.as_str()).collect();
         assert_eq!(names.len(), Region::COUNT);
-        assert!(names.contains("packed-probe"));
+        assert!(names.contains("advance"));
     }
 
     #[test]
@@ -176,8 +157,8 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    set_region(Region::Rng);
-                    assert_eq!(current_region(), Region::Rng);
+                    set_region(Region::Advance);
+                    assert_eq!(current_region(), Region::Advance);
                     set_region(Region::Idle);
                 });
             }

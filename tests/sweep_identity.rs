@@ -212,6 +212,10 @@ fn optimized_cache_matches_reference_on_a_million_ops() {
         let geometry = CacheGeometry::new(1 << 20, assoc, 64).expect("valid geometry");
         differential_drive(geometry, 250_000, 0xD1FF + u64::from(assoc));
     }
+    // The default configuration's 8 MB direct-mapped off-chip L2: the
+    // geometry the `micro` bench times the two kernels on.
+    let geometry = CacheGeometry::new(8 << 20, 1, 64).expect("valid geometry");
+    differential_drive(geometry, 250_000, 0xD1FF_0800);
 }
 
 #[test]
