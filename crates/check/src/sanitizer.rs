@@ -7,6 +7,13 @@
 //! the real directory's new state *and* the reported outcome against the
 //! executable spec in [`crate::spec`], applied to the shadow.
 //!
+//! The shadow is one line-keyed hash map ([`LineMap`], the directory's own
+//! map type). A line enters it on its first read or write miss and keeps
+//! its key for good (lines that fall back to `Uncached` stay as
+//! tombstones), so the key set is the machine-wide reference history the
+//! cold-miss flags are checked against. Hash order never reaches a
+//! report: the full audit names the lowest-addressed divergent line.
+//!
 //! The sanitizer is deliberately passive: hooks never mutate the
 //! simulation, never allocate per call on the happy path beyond the
 //! shadow map itself, and the first divergence is latched
@@ -20,10 +27,11 @@
 //! pointer test per transition, and every report is bit-identical to a
 //! build without the sanitizer compiled in at all.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use csim_coherence::{Directory, LineState, NodeId, ProtocolError, ReadOutcome, WriteOutcome};
+use csim_coherence::{
+    Directory, LineMap, LineState, NodeId, ProtocolError, ReadOutcome, WriteOutcome,
+};
 
 use crate::spec;
 
@@ -49,11 +57,11 @@ impl std::error::Error for SanitizerError {}
 /// The shadow directory and its latched verdict.
 #[derive(Debug, Default)]
 pub struct Sanitizer {
-    /// Independent record of every line's state (`BTreeMap`, so any
-    /// future iteration is deterministic by construction).
-    shadow: BTreeMap<u64, LineState>,
-    /// Lines ever referenced, for cross-checking cold-miss flags.
-    seen: BTreeSet<u64>,
+    /// Independent record of the state of every line ever referenced,
+    /// `Uncached` tombstones included: a key is present exactly when the
+    /// line has been read- or write-missed before, which is what the
+    /// cold-miss flags are cross-checked against.
+    shadow: LineMap<LineState>,
     checks: u64,
     failed: Option<SanitizerError>,
 }
@@ -99,7 +107,8 @@ impl Sanitizer {
             return;
         }
         self.checks += 1;
-        let pre = self.shadow_state(line);
+        let prior = self.shadow.get(&line).copied();
+        let pre = prior.unwrap_or(LineState::Uncached);
         let want = match spec::read_transition(pre, requester) {
             Ok(want) => want,
             Err(r) => {
@@ -142,7 +151,7 @@ impl Sanitizer {
                     want.next
                 ),
             );
-        } else if out.cold == self.seen.contains(&line) {
+        } else if out.cold == prior.is_some() {
             self.fail(
                 "read_miss",
                 line,
@@ -155,7 +164,6 @@ impl Sanitizer {
         if self.failed.is_some() {
             return;
         }
-        self.seen.insert(line);
         self.shadow.insert(line, want.next);
     }
 
@@ -171,7 +179,8 @@ impl Sanitizer {
             return;
         }
         self.checks += 1;
-        let pre = self.shadow_state(line);
+        let prior = self.shadow.get(&line).copied();
+        let pre = prior.unwrap_or(LineState::Uncached);
         let want = match spec::write_transition(pre, requester) {
             Ok(want) => want,
             Err(r) => {
@@ -229,7 +238,7 @@ impl Sanitizer {
                     want.next
                 ),
             );
-        } else if out.cold == self.seen.contains(&line) {
+        } else if out.cold == prior.is_some() {
             self.fail(
                 "write_miss",
                 line,
@@ -239,7 +248,6 @@ impl Sanitizer {
         if self.failed.is_some() {
             return;
         }
-        self.seen.insert(line);
         self.shadow.insert(line, want.next);
     }
 
@@ -372,8 +380,9 @@ impl Sanitizer {
             );
             return;
         }
-        if self.shadow.contains_key(&line) {
-            self.shadow.insert(line, want_state);
+        // A stale drop of a never-referenced line must not invent history.
+        if let Some(state) = self.shadow.get_mut(&line) {
+            *state = want_state;
         }
     }
 
@@ -385,12 +394,15 @@ impl Sanitizer {
     ///
     /// # Errors
     ///
-    /// The first latched divergence, or the first line where live and
-    /// shadow state differ.
+    /// The first latched divergence; else the lowest line whose live
+    /// state differs from the shadow; else the lowest line the shadow
+    /// holds in a state the live directory does not.
     pub fn verify_shadow(&self, dir: &Directory) -> Result<(), SanitizerError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
+        // `Directory::iter` ascends by line, so the first mismatch is
+        // the lowest.
         for (line, live) in dir.iter() {
             let shadowed = self.shadow_state(line);
             if live != shadowed {
@@ -401,19 +413,23 @@ impl Sanitizer {
                 });
             }
         }
-        for (&line, &shadowed) in &self.shadow {
-            if dir.state(line) != shadowed {
-                return Err(SanitizerError {
-                    op: "verify_shadow",
-                    line,
-                    detail: format!(
-                        "shadow has {shadowed:?}, live directory has {:?}",
-                        dir.state(line)
-                    ),
-                });
-            }
+        // The shadow iterates in hash order: take the lowest mismatch.
+        let lowest = self
+            .shadow
+            .iter()
+            .filter(|&(&line, &shadowed)| dir.state(line) != shadowed)
+            .min_by_key(|&(&line, _)| line);
+        match lowest {
+            Some((&line, &shadowed)) => Err(SanitizerError {
+                op: "verify_shadow",
+                line,
+                detail: format!(
+                    "shadow has {shadowed:?}, live directory has {:?}",
+                    dir.state(line)
+                ),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -510,6 +526,83 @@ mod tests {
         sz.on_read_miss(&dir, 9, 0, &doctored);
         let err = sz.first_divergence().expect("divergence latched");
         assert!(err.detail.contains("cold"), "{}", err.detail);
+    }
+
+    #[test]
+    fn cold_flag_lies_about_tombstones_are_caught() {
+        // Write line 9 and write it back: it is now an `Uncached`
+        // tombstone, referenced before, so no later miss on it is cold.
+        fn tombstoned() -> (Directory, Sanitizer) {
+            let mut dir = dir4();
+            let mut sz = Sanitizer::new();
+            let w = dir.write_miss(9, 0);
+            sz.on_write_miss(&dir, 9, 0, &w);
+            let wb = dir.writeback(9, 0);
+            sz.on_writeback(&dir, 9, 0, wb);
+            assert_eq!(dir.state(9), LineState::Uncached);
+            assert_eq!(sz.first_divergence(), None);
+            (dir, sz)
+        }
+
+        let (mut dir, mut sz) = tombstoned();
+        let mut r = dir.read_miss(9, 1);
+        assert!(!r.cold);
+        r.cold = true;
+        sz.on_read_miss(&dir, 9, 1, &r);
+        let err = sz.first_divergence().expect("divergence latched");
+        assert_eq!((err.op, err.line), ("read_miss", 9));
+        assert!(err.detail.contains("cold flag"), "{}", err.detail);
+
+        let (mut dir, mut sz) = tombstoned();
+        let mut w = dir.write_miss(9, 2);
+        assert!(!w.cold);
+        w.cold = true;
+        sz.on_write_miss(&dir, 9, 2, &w);
+        let err = sz.first_divergence().expect("divergence latched");
+        assert_eq!((err.op, err.line), ("write_miss", 9));
+        assert!(err.detail.contains("cold flag"), "{}", err.detail);
+    }
+
+    #[test]
+    fn audit_names_the_lowest_live_divergence() {
+        let mut dir = dir4();
+        let mut sz = Sanitizer::new();
+        for line in [900, 40, 7, 300] {
+            let r = dir.read_miss(line, 0);
+            sz.on_read_miss(&dir, line, 0, &r);
+        }
+        // Tamper with the higher line first.
+        dir.seed_state(300, LineState::Modified { owner: 2, in_rac: false }).unwrap();
+        dir.seed_state(40, LineState::Modified { owner: 3, in_rac: true }).unwrap();
+        let err = sz.verify_shadow(&dir).unwrap_err();
+        assert_eq!((err.op, err.line), ("verify_shadow", 40));
+        assert!(err.detail.starts_with("live directory has"), "{}", err.detail);
+    }
+
+    #[test]
+    fn audit_names_the_lowest_shadow_divergence() {
+        let mut dir = dir4();
+        let mut sz = Sanitizer::new();
+        // Enough lines, fed in scrambled order, that hash order is
+        // unlikely to put the lowest first by accident.
+        for i in 0..256u64 {
+            let line = (i * 97) % 256 + 10;
+            let w = dir.write_miss(line, (i % 4) as NodeId);
+            sz.on_write_miss(&dir, line, (i % 4) as NodeId, &w);
+        }
+        // The lowest line becomes a tombstone, which an empty directory
+        // agrees with; the next one up is the lowest divergence.
+        let owner = match dir.state(10) {
+            LineState::Modified { owner, .. } => owner,
+            other => panic!("line 10 is {other:?}"),
+        };
+        let wb = dir.writeback(10, owner);
+        sz.on_writeback(&dir, 10, owner, wb);
+        sz.verify_shadow(&dir).expect("shadow agrees with the directory it followed");
+
+        let err = sz.verify_shadow(&dir4()).unwrap_err();
+        assert_eq!((err.op, err.line), ("verify_shadow", 11));
+        assert!(err.detail.starts_with("shadow has Modified"), "{}", err.detail);
     }
 
     #[test]

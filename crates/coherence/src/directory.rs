@@ -163,11 +163,11 @@ pub struct DirectoryStats {
     pub nacks: u64,
 }
 
-// A fast, deterministic hasher for u64 line addresses (FxHash-style
-// multiply; the std SipHash is needlessly slow for this hot path and we do
-// not face adversarial keys).
+/// A fast, deterministic hasher for `u64` line addresses (FxHash-style
+/// multiply; the std SipHash is needlessly slow for the per-miss paths
+/// that key by line, and line addresses are not adversarial).
 #[derive(Default)]
-struct LineHasher(u64);
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn finish(&self) -> u64 {
@@ -175,7 +175,8 @@ impl Hasher for LineHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Only used for u64 keys; fold bytes in word-sized chunks.
+        // Only `write_u64` sees line keys; any other input is folded one
+        // byte at a time.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         }
@@ -187,7 +188,10 @@ impl Hasher for LineHasher {
     }
 }
 
-type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+/// A hash map keyed by line address with [`LineHasher`]: the directory's
+/// own entry table, and any per-line shadow of it. Iteration order is the
+/// hash layout's, so anything reported from one must be ordered by line.
+pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// The full-map invalidation directory for one simulated machine.
 ///

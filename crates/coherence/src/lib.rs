@@ -42,6 +42,7 @@ mod directory;
 mod node_set;
 
 pub use directory::{
-    Directory, DirectoryStats, FillSource, LineState, ProtocolError, ReadOutcome, WriteOutcome,
+    Directory, DirectoryStats, FillSource, LineHasher, LineMap, LineState, ProtocolError,
+    ReadOutcome, WriteOutcome,
 };
 pub use node_set::{NodeId, NodeSet};
